@@ -11,7 +11,8 @@ the multi-read/single-write model makes lock protocols load-bearing
   console script (:mod:`repro.analysis.cli`);
 - :mod:`repro.analysis.passes` — the project-specific passes
   (lock-order, blocking-under-lock, protocol-conformance,
-  error-conventions, determinism, metric-catalogue, deprecated-facade);
+  deadline-propagation, error-conventions, determinism, durable-write,
+  metric-catalogue);
 - :mod:`repro.analysis.lockdep` — the runtime lock-order witness
   (lockdep-style acquired-while-held graph with witness stacks),
   activated across the tier-1 suite by

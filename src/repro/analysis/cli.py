@@ -21,9 +21,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fanstore-lint",
         description=(
             "AST lint for FanStore's project invariants: lock order, "
-            "blocking-under-lock, protocol conformance, error "
-            "conventions, determinism, metric catalogue, deprecated "
-            "facades. See docs/static-analysis.md."
+            "blocking-under-lock, protocol conformance, deadline "
+            "propagation, error conventions, determinism, durable "
+            "writes, metric catalogue. See docs/static-analysis.md."
         ),
     )
     parser.add_argument(

@@ -1,29 +1,20 @@
-"""*protocol-conformance*: the wire protocol's three invariants.
+"""*protocol-conformance*: the wire protocol's two invariants.
 
 FanStore's request/reply protocol is convention, not schema: requests
 are ``(kind, body)`` tuples on a well-known tag (``TAG_DAEMON``,
 ``TAG_MEMBER``), dispatched by string-matching ``kind`` in a serve
-loop, and bodies have grown by appended optional fields: the legacy
-2-tuple ``(subject, reply_tag)``, the traced 3-tuple adding
-``trace_ctx``, the deadline-propagating 4-tuple adding an absolute
-``deadline``, and — since epoch fencing landed — the 5-tuple adding
-the sender's fencing token (membership view ``epoch``). This pass
-recovers the protocol from the AST and checks:
+loop, and every daemon request body is a typed
+``Request(...).encode()`` envelope (see :mod:`repro.fanstore.wire`).
+This pass recovers the protocol from the AST and checks:
 
 1. every ``kind`` emitted on a tag has a matching dispatch arm in that
    tag's serve loop (an unhandled kind hangs the sender forever — the
    reply never comes);
-2. the serve loop unpacks the request body with a starred target, so
-   all arities parse;
-3. every wire body the request helper builds is one of the
-   2/3/4/5-tuple forms *or* a typed v2 envelope
-   (``Request(...).encode()``, see :mod:`repro.fanstore.wire`), and a
-   fenced form — the 5-tuple, or an envelope carrying an ``epoch=``
-   token — is among them (a helper that only builds unfenced forms
-   sends mutations the server can never fence as stale — split-brain
-   protection silently dropped). An envelope built without ``epoch=``
-   is flagged directly: the field exists precisely so no sender has an
-   excuse to drop the token.
+2. every wire body a request helper builds is a ``Request(...)``
+   envelope carrying an ``epoch=`` fencing token. An envelope without
+   the token sends mutations the server can never fence as stale
+   (split-brain protection silently dropped), and a positional tuple
+   body is one the server rejects as malformed.
 
 Recognised idioms: a *dispatcher* is any method that calls
 ``recv``/``try_recv`` with a ``TAG_<NAME>`` constant; its handled kinds
@@ -31,7 +22,9 @@ are the string literals compared against a name inside it. A *request
 helper* is a method that sends ``(param, ...)`` on a tag, where
 ``param`` is one of its own parameters — calls to it with a literal
 first argument emit that literal as a kind. A wire body is an
-*envelope* when it is a call to a constructor named ``Request``.
+*envelope* when it is a call to a constructor named ``Request``, and a
+*positional body* when it is a tuple literal holding a ``*reply_tag``
+name.
 """
 
 from __future__ import annotations
@@ -104,7 +97,10 @@ def _methods(tree: ast.Module) -> list[_MethodInfo]:
 
 class ProtocolConformancePass(LintPass):
     rule = "protocol-conformance"
-    title = "every emitted kind has a dispatch arm; body arity is 2 through 5"
+    title = (
+        "every emitted kind has a dispatch arm; request bodies are "
+        "fenced Request envelopes"
+    )
 
     def run(self, project: Project) -> Iterable[Finding]:
         findings: list[Finding] = []
@@ -195,17 +191,10 @@ class ProtocolConformancePass(LintPass):
                         )
                     )
 
-        # 2. dispatcher body unpack must be variable-arity
-        for tag, dispatcher in sorted(dispatchers.items()):
-            if tag not in emitted:
-                continue
-            findings.extend(self._check_unpack(src, dispatcher))
-
-        # 3. request helpers must build protocol arities, incl. the
-        #    epoch-fenced 5-tuple
+        # 2. request helpers build only fenced Request envelopes
         for m in methods:
             if m.node.name in helpers:
-                findings.extend(self._check_wire_arity(src, m))
+                findings.extend(self._check_wire_body(src, m))
         return findings
 
     @staticmethod
@@ -231,55 +220,16 @@ class ProtocolConformancePass(LintPass):
                                 handled.add(elt.value)
         return handled
 
-    def _check_unpack(
-        self, src: SourceFile, dispatcher: _MethodInfo
-    ) -> list[Finding]:
-        """Tuple-unpacks of a request body inside the dispatcher must
-        carry a starred target (variable arity)."""
-        findings = []
-        for node in ast.walk(dispatcher.node):
-            if not isinstance(node, ast.Assign):
-                continue
-            if not (
-                isinstance(node.value, ast.Name)
-                and node.value.id in ("body", "payload_body")
-            ):
-                continue
-            for target in node.targets:
-                if isinstance(target, (ast.Tuple, ast.List)):
-                    if not any(
-                        isinstance(e, ast.Starred) for e in target.elts
-                    ):
-                        findings.append(
-                            self.finding(
-                                src,
-                                node.lineno,
-                                f"{dispatcher.cls}.{dispatcher.node.name} "
-                                "unpacks the request body with fixed arity; "
-                                "use a starred target so the 2- through "
-                                "5-tuple body forms all parse",
-                            )
-                        )
-        return findings
-
-    def _check_wire_arity(
+    def _check_wire_body(
         self, src: SourceFile, helper: _MethodInfo
     ) -> list[Finding]:
         findings = []
-        arities: set[int] = set()
-        envelopes = 0
-        fenced_envelope = False
-        first_line = helper.node.lineno
         for node in ast.walk(helper.node):
             if (
                 isinstance(node, ast.Call)
                 and _terminal_name(node.func) == "Request"
             ):
-                envelopes += 1
-                kwargs = {kw.arg for kw in node.keywords}
-                if "epoch" in kwargs:
-                    fenced_envelope = True
-                else:
+                if not any(kw.arg == "epoch" for kw in node.keywords):
                     findings.append(
                         self.finding(
                             src,
@@ -290,40 +240,17 @@ class ProtocolConformancePass(LintPass):
                             "membership view",
                         )
                     )
-                continue
-            if not isinstance(node, ast.Tuple):
-                continue
-            if not any(
+            elif isinstance(node, ast.Tuple) and any(
                 isinstance(e, ast.Name) and e.id.endswith("reply_tag")
                 for e in node.elts
             ):
-                continue
-            arities.add(len(node.elts))
-            if len(node.elts) not in (2, 3, 4, 5):
                 findings.append(
                     self.finding(
                         src,
                         node.lineno,
-                        f"wire body built with {len(node.elts)} fields; the "
-                        "protocol defines only (subject, reply_tag"
-                        "[, trace_ctx[, deadline[, epoch]]]) or a typed "
-                        "Request envelope",
+                        f"positional wire body with {len(node.elts)} "
+                        "fields; the server rejects it as malformed — "
+                        "build a Request(...) envelope with epoch=",
                     )
                 )
-        if (
-            (arities or envelopes)
-            and arities.isdisjoint({5})
-            and not fenced_envelope
-        ):
-            findings.append(
-                self.finding(
-                    src,
-                    first_line,
-                    f"{helper.cls}.{helper.node.name} never builds a fenced "
-                    "wire body (the epoch 5-tuple or a Request envelope "
-                    "with epoch=); without a fencing token the server "
-                    "cannot reject this request when it was decided under "
-                    "a stale membership view",
-                )
-            )
         return findings

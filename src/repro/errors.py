@@ -99,8 +99,9 @@ class InvalidArgumentError(FanStoreError, OSError):
 
 class WireFormatError(FanStoreError, FormatError):
     """A daemon wire body (request envelope or reply) is structurally
-    malformed — neither a v2 envelope nor a legacy positional tuple. A
-    server counts it as a malformed request; it never crashes on one."""
+    malformed. A server counts a malformed request and drops it; a
+    client counts a malformed reply as a failed attempt. Neither side
+    crashes on one."""
 
 
 class CapacityError(FanStoreError):

@@ -17,33 +17,34 @@ One daemon runs per node (here: per rank of the in-process world). It
 
 Message protocol (all on ``TAG_DAEMON``; replies on caller-chosen tags):
 
-=========== =============================================  =========================
-kind        payload                                        reply
-=========== =============================================  =========================
-fetch       Request envelope (subject = path)              (ok, compressed|error)
-stat        Request envelope (subject = path)              (ok, FileRecord|None)
-write_meta  Request envelope (subject = FileRecord)        (ok, None)
-batch       Request envelope (batch = item triples)        (BATCH, item replies)
-stop        —                                              —
-=========== =============================================  =========================
+=========== =========================================  ======================
+kind        payload                                    reply
+=========== =========================================  ======================
+fetch       Request envelope (subject = path)          OK(compressed) | MISS
+stat        Request envelope (subject = path)          OK(FileRecord) | MISS
+write_meta  Request envelope (subject = FileRecord)    OK(None) | FENCED
+batch       Request envelope (batch = item triples)    (BATCH, item replies)
+stop        —                                          —
+=========== =========================================  ======================
 
 Every request body is a :class:`repro.fanstore.wire.Request` envelope —
 one typed record carrying ``subject``, ``reply_tag``, ``trace_ctx``,
 ``deadline``, ``epoch``, and ``batch`` by name, encoded as a versioned
 self-identifying tuple (see :mod:`repro.fanstore.wire` for the wire
-layout and forward-compatibility rules). Semantics are unchanged from
-the positional era: a traced requester's context is adopted so one
-``client.read`` is reconstructable across every rank it touched; work
-whose absolute deadline already expired is dropped instead of answered
-into the void; queue overflow is shed with an
-``(_OVERLOAD, retry_after_s)`` reply so clients back off instead of
-retry-storming; and a mutating request (``write_meta``) whose fencing
-token (membership view epoch) is older than the server's is answered
-``(_FENCED, server_epoch)`` rather than applied, so a rank healing out
-of a minority partition cannot clobber majority state. Legacy
-positional 2/3/4/5-tuple bodies still decode through the compatibility
-shim in :func:`repro.fanstore.wire.decode_request` (with a
-``DeprecationWarning``) and are served identically.
+layout and forward-compatibility rules); any other body is counted in
+``malformed_requests`` and dropped. Every reply is built with
+``Reply(...).encode()`` and read back with
+:func:`~repro.fanstore.wire.decode_reply`; a reply that does not decode
+counts as a failed attempt, like a timeout. A traced requester's
+context is adopted so one ``client.read`` is reconstructable across
+every rank it touched; work whose absolute deadline already expired is
+dropped instead of answered into the void; queue overflow is shed with
+an ``OVERLOAD`` reply carrying a retry-after so clients back off
+instead of retry-storming; and a mutating request (``write_meta``)
+whose fencing token (membership view epoch) is older than the server's
+is answered ``FENCED`` with the server's epoch rather than applied, so
+a rank healing out of a minority partition cannot clobber majority
+state.
 
 A ``batch`` envelope is a client-side flush of small same-destination
 requests: its ``batch`` field holds ``(kind, subject, deadline)``
@@ -59,11 +60,10 @@ import logging
 import random
 import threading
 import time
-import warnings
 import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -116,30 +116,39 @@ from repro.fanstore.wire import (
     Reply,
     Request,
     decode_batch_reply,
+    decode_reply,
     decode_request,
     encode_batch_reply,
 )
-from repro.fanstore.wire import FENCED as _WIRE_FENCED
-from repro.fanstore.wire import OVERLOAD as _WIRE_OVERLOAD
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_SPAN, Tracer
 
 TAG_DAEMON = 0x0FA0
 _REPLY_TAG_BASE = 0x1000
 
-#: first element of a shed request's reply — never a valid ``ok`` bool,
-#: so legacy callers cannot mistake it for data. The second element is
-#: the server's suggested back-off in seconds. (Canonical home:
-#: :data:`repro.fanstore.wire.OVERLOAD`; aliased here for the drills.)
-_OVERLOAD = _WIRE_OVERLOAD
+#: attempts against each replica rank once the home rank is given up
+#: on (replicas are a bonus tier; the shared FS is the floor).
+_FAILOVER_ATTEMPTS = 1
 
-#: first element of a fenced-off mutating request's reply: the sender's
-#: fencing token (membership view epoch) was older than the server's,
-#: so the mutation was refused. The second element is the server's
-#: epoch — the sender must catch up to at least that view (rejoin,
-#: merge gossip) before the mutation can be meaningful again.
-#: (Canonical home: :data:`repro.fanstore.wire.FENCED`.)
-_FENCED = _WIRE_FENCED
+#: service-thread join budget at :meth:`FanStoreDaemon.stop` —
+#: deliberately *not* ``request_timeout`` (a 30 s request budget must
+#: not turn shutdown into a 30 s hang). A thread that misses it is
+#: logged and leaked (it is a daemon thread; it dies with the process).
+_SHUTDOWN_TIMEOUT = 5.0
+
+#: hedged reads fire once the home rank has been silent for this
+#: quantile of its recent reply latencies (``hedge_after_s`` until
+#: ``_HEDGE_MIN_SAMPLES`` exist: a p95 of fewer than 20 samples is only
+#: the window maximum, and a handful of fast replies would pull the
+#: hedge delay down to a few milliseconds, so ordinary scheduling jitter
+#: on a healthy home would fire hedges).
+_HEDGE_QUANTILE = 0.95
+_HEDGE_MIN_SAMPLES = 20
+
+#: how long one shed, or one backlog at/above half of
+#: ``max_queue_depth``, keeps the daemon in *brownout* (re-verification
+#: of already-digest-checked payloads skipped to shed CPU).
+_BROWNOUT_HOLD_S = 0.5
 
 #: load-time collectives (metadata allgather) are not on the request
 #: hot path; they get a generous fixed budget rather than the per-
@@ -151,16 +160,14 @@ _LOG = logging.getLogger(__name__)
 
 @dataclass
 class DaemonStats:
-    """Counters surfaced to the benchmarks.
+    """The daemon's counters: the live storage behind its registry.
 
-    .. deprecated::
-        Retained as a thin façade over the unified
-        :class:`~repro.obs.metrics.MetricsRegistry`: every field here is
-        *bound into* the daemon's registry under ``daemon.<field>``
-        (same storage — mutating either side is visible through both),
-        so existing drills keep asserting on ``daemon.stats.<field>``
-        while new code reads ``daemon.metrics``. Prefer the registry;
-        this bag stays only for PR 1–3 compatibility.
+    :meth:`bind` registers every field in the daemon's
+    :class:`~repro.obs.metrics.MetricsRegistry` under ``daemon.<field>``
+    (``replication.<field>`` for the replication-engine counters). The
+    registry reads these attributes directly, so a hot-path increment
+    (``stats.retries += 1``) stays a bare int add and is visible through
+    both ``daemon.stats.<field>`` and ``daemon.metrics``.
     """
 
     local_opens: int = 0
@@ -230,8 +237,9 @@ class DaemonStats:
 class DaemonConfig:
     """Tunables of one daemon instance."""
 
+    #: decompressed-cache budget; entries are released at refcount
+    #: zero, the paper's policy (§IV-C3)
     cache_bytes: int = 1 << 30
-    retain_cache: bool = False  # paper policy: release at refcount zero
     capacity_bytes: int | None = None  # burst-buffer budget; None = unbounded
     extra_partition_budget: int = 0  # additional partitions to replicate
     request_timeout: float = 30.0
@@ -244,9 +252,6 @@ class DaemonConfig:
     retry_backoff_base: float = 0.05
     retry_backoff_max: float = 2.0
     retry_jitter: float = 0.5
-    #: attempts against each replica rank once the home rank is given
-    #: up on (replicas are a bonus tier; the shared FS is the floor).
-    failover_attempts: int = 1
     #: compressor applied to output files at close (None = store raw).
     #: Checkpoints/logs are written once and rarely re-read (§II-B3), so
     #: a slow-but-dense codec is usually the right choice here.
@@ -276,45 +281,34 @@ class DaemonConfig:
     #: body carries its attempt's absolute deadline so servers can drop
     #: work the requester has already abandoned.
     request_deadline: float | None = None
-    #: service-thread join budget at :meth:`FanStoreDaemon.stop` —
-    #: deliberately *not* ``request_timeout`` (a 30 s request budget
-    #: must not turn shutdown into a 30 s hang). A thread that misses
-    #: it is logged and leaked (it is a daemon thread; it dies with the
-    #: process).
-    shutdown_timeout: float = 5.0
-    #: hedged reads: after the home rank has been silent for the
-    #: ``hedge_quantile`` of its recent latencies (``hedge_after_s``
+    #: hedged reads: after the home rank has been silent for the p95
+    #: (``_HEDGE_QUANTILE``) of its recent latencies (``hedge_after_s``
     #: until enough samples exist), fire the same fetch at the best
     #: replica and take the first verified reply. Off by default — the
     #: healthy-cluster overhead is near zero, but hedging is a policy
     #: the operator should opt into.
     hedge_reads: bool = False
     hedge_after_s: float = 0.05
-    hedge_quantile: float = 0.95
     #: circuit breaker per peer: ``breaker_failure_threshold``
     #: consecutive hard failures (timeouts, overload sheds) or
-    #: ``breaker_slow_threshold`` consecutive slow signals (hedge
-    #: fired, or latency above ``breaker_latency_threshold`` when set)
-    #: open it; after ``breaker_reset_after`` seconds it half-opens and
-    #: the next fetch probes.
+    #: ``breaker_slow_threshold`` consecutive slow signals (the hedge
+    #: fired) open it; after ``breaker_reset_after`` seconds it
+    #: half-opens and the next fetch probes.
     breaker_failure_threshold: int = 3
     breaker_slow_threshold: int = 3
     breaker_reset_after: float = 1.0
-    breaker_latency_threshold: float | None = None
     #: admission control: the service loop drains its mailbox into a
     #: bounded queue; overflow sheds the nearest-deadline entry with an
     #: overload reply carrying ``overload_retry_after_s``. Shedding (or
-    #: a backlog at/above ``brownout_queue_depth``, default half the
-    #: queue) enters *brownout* for ``brownout_hold_s``: re-verification
-    #: of already-digest-checked payloads is skipped to shed CPU.
+    #: a backlog at/above half the queue) enters *brownout* for
+    #: ``_BROWNOUT_HOLD_S``: re-verification of already-digest-checked
+    #: payloads is skipped to shed CPU.
     max_queue_depth: int = 64
     overload_retry_after_s: float = 0.05
-    brownout_queue_depth: int | None = None
-    brownout_hold_s: float = 0.5
     #: epoch fencing: every request carries the sender's membership view
     #: epoch, and mutating requests (``write_meta``) stamped with an
-    #: epoch older than the server's are refused with a
-    #: ``(_FENCED, server_epoch)`` reply (surfaced to the caller as
+    #: epoch older than the server's are refused with a ``FENCED``
+    #: reply carrying the server's epoch (surfaced to the caller as
     #: :class:`StaleEpochError`). This is what keeps a rank healing out
     #: of a minority partition from clobbering majority state; disable
     #: only to measure what it buys (see ``benchmarks/bench_partition``).
@@ -379,16 +373,13 @@ class FanStoreDaemon:
         journal_dir: Any = None,
         journal_config: JournalConfig | None = None,
         disk_injector: DiskFaultInjector | None = None,
-        **legacy: Any,
     ) -> None:
         self.comm = comm
-        self.config = self._resolve_config(config, legacy)
+        self.config = config if config is not None else DaemonConfig()
         self.backend = backend if backend is not None else RamBackend()
         self.registry = registry or default_registry()
         self.metadata = MetadataTable()
-        self.cache = DecompressedCache(
-            self.config.cache_bytes, retain_unpinned=self.config.retain_cache
-        )
+        self.cache = DecompressedCache(self.config.cache_bytes)
         self.rank = comm.rank if comm else 0
         self.size = comm.size if comm else 1
         #: unified per-rank observability: the stats bag below is bound
@@ -448,18 +439,13 @@ class FanStoreDaemon:
             failure_threshold=cfg.breaker_failure_threshold,
             slow_threshold=cfg.breaker_slow_threshold,
             reset_after=cfg.breaker_reset_after,
-            latency_threshold=cfg.breaker_latency_threshold,
         )
         self.health.on_open = self._on_breaker_open
         self.health.on_probe = self._on_breaker_probe
         self._queue_depth = 0  # service-loop backlog, sampled per drain
         self.metrics.bind_gauge("daemon.queue_depth", self, "_queue_depth")
         self._brownout_until = 0.0
-        self._brownout_depth = (
-            cfg.brownout_queue_depth
-            if cfg.brownout_queue_depth is not None
-            else max(2, cfg.max_queue_depth // 2)
-        )
+        self._brownout_depth = max(2, cfg.max_queue_depth // 2)
         self._verified_paths: set[str] = set()
         self._membership: FailureDetector | None = None
         # negative route cache: dest rank → view epoch at the time the
@@ -491,34 +477,6 @@ class FanStoreDaemon:
             self.backend.injector = disk_injector
         if isinstance(self.backend, DiskBackend):
             self.backend.rank = self.rank
-
-    _LEGACY_PIPELINE_KWARGS = (
-        "pipeline_workers", "max_inflight", "batch_max", "batch_linger"
-    )
-
-    @classmethod
-    def _resolve_config(
-        cls, config: DaemonConfig | None, legacy: dict[str, Any]
-    ) -> DaemonConfig:
-        """Fold deprecated ad-hoc scheduler kwargs into the coherent
-        ``config.pipeline`` group. Unknown kwargs stay a TypeError."""
-        base = config or DaemonConfig()
-        if not legacy:
-            return base
-        unknown = [k for k in legacy if k not in cls._LEGACY_PIPELINE_KWARGS]
-        if unknown:
-            raise TypeError(
-                "FanStoreDaemon() got unexpected keyword argument(s): "
-                + ", ".join(sorted(unknown))
-            )
-        warnings.warn(
-            "passing scheduler knobs as FanStoreDaemon keyword arguments "
-            "is deprecated; set DaemonConfig(pipeline=PipelineConfig(...)) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return replace(base, pipeline=replace(base.pipeline, **legacy))
 
     # -- loading ----------------------------------------------------------
 
@@ -661,7 +619,7 @@ class FanStoreDaemon:
     def _fence_token(self) -> int | None:
         """The fencing token stamped on outgoing requests: this rank's
         membership view epoch, or None when fencing is off / no detector
-        is attached (legacy senders are served unfenced)."""
+        is attached (a request without a token is never fenced)."""
         if not self.config.epoch_fencing or self._membership is None:
             return None
         return self._view_epoch()
@@ -669,9 +627,9 @@ class FanStoreDaemon:
     def _stale_epoch(self, epoch: int | None) -> bool:
         """Server-side fencing check for a mutating request: True when
         the sender stamped a view epoch older than ours. Unfenced
-        senders (no token: legacy wire forms, fencing disabled, no
-        detector) are never fenced — fencing protects against *known*
-        staleness, not missing information."""
+        senders (no token: fencing disabled, no detector) are never
+        fenced — fencing protects against *known* staleness, not missing
+        information."""
         if not self.config.epoch_fencing or self._membership is None:
             return False
         return epoch is not None and epoch < self._view_epoch()
@@ -783,7 +741,7 @@ class FanStoreDaemon:
             try:
                 ok, data = self._request(
                     "fetch", step.path, source,
-                    attempts=max(1, self.config.failover_attempts),
+                    attempts=_FAILOVER_ATTEMPTS,
                 )
             except (RetryExhaustedError, ServerOverloadedError, RankDeadError):
                 continue
@@ -1206,7 +1164,7 @@ class FanStoreDaemon:
 
     def stop(self) -> None:
         """Stop the service loop (idempotent). Shutdown gets its own
-        bounded budget — ``shutdown_timeout``, not ``request_timeout``
+        bounded budget — ``_SHUTDOWN_TIMEOUT``, not ``request_timeout``
         (a generous request budget must not become a shutdown hang). A
         service thread that misses it is logged and leaked: it is a
         daemon thread, so it cannot outlive the process."""
@@ -1216,12 +1174,12 @@ class FanStoreDaemon:
             return
         self.comm.send(("stop", None), self.rank, TAG_DAEMON)
         thread = self._service_thread
-        thread.join(timeout=self.config.shutdown_timeout)
+        thread.join(timeout=_SHUTDOWN_TIMEOUT)
         if thread.is_alive():
             _LOG.warning(
                 "rank %d: daemon service thread still running %.1fs after "
                 "stop; leaking it (daemon thread — dies with the process)",
-                self.rank, self.config.shutdown_timeout,
+                self.rank, _SHUTDOWN_TIMEOUT,
             )
         self._service_thread = None
 
@@ -1277,9 +1235,7 @@ class FanStoreDaemon:
                 depth = len(queue)
                 self._queue_depth = depth
                 if depth >= self._brownout_depth:
-                    self._brownout_until = (
-                        time.monotonic() + self.config.brownout_hold_s
-                    )
+                    self._brownout_until = time.monotonic() + _BROWNOUT_HOLD_S
                 entry = queue.pop()
                 if entry is None:
                     continue
@@ -1352,8 +1308,8 @@ class FanStoreDaemon:
         A malformed message must not kill the service loop — the daemon
         outlives misbehaving clients (it answers to every peer, not just
         the sender). Bodies decode through
-        :func:`repro.fanstore.wire.decode_request` — v2 envelopes and
-        legacy positional tuples alike; anything neither is malformed.
+        :func:`repro.fanstore.wire.decode_request`; anything that is not
+        a v2 envelope is malformed.
         A batch envelope is admitted against the *earliest* of its
         items' deadlines: the whole flush is droppable only once every
         waiter behind it has walked away.
@@ -1390,15 +1346,15 @@ class FanStoreDaemon:
         shed = queue.push(entry, deadline_at)
         if shed:
             # shedding is the overload signal: enter brownout
-            self._brownout_until = (
-                time.monotonic() + self.config.brownout_hold_s
-            )
+            self._brownout_until = time.monotonic() + _BROWNOUT_HOLD_S
         retry_after = self.config.overload_retry_after_s
         for _, victim, victim_source in shed:
             self.stats.shed_requests += 1
             try:
                 self.comm.send(
-                    (_OVERLOAD, retry_after), victim_source, victim.reply_tag
+                    Reply(Reply.OVERLOAD, retry_after).encode(),
+                    victim_source,
+                    victim.reply_tag,
                 )
             except (CommClosedError, CommError):
                 return True
@@ -1431,9 +1387,9 @@ class FanStoreDaemon:
                     self.stats.served_requests += 1
                     span.tag(path=subject)
                     try:
-                        data = self._verified_local(subject)
+                        reply = Reply(Reply.OK, self._verified_local(subject))
                     except FileNotFoundInStoreError:
-                        comm.send((False, subject), source, reply_tag)
+                        reply = Reply(Reply.MISS, subject)
                     except DataIntegrityError:
                         # never serve bytes that failed verification
                         # and could not be self-repaired; no reply at
@@ -1441,18 +1397,16 @@ class FanStoreDaemon:
                         # its own failover ladder (replicas, shared
                         # FS)
                         span.tag(unrepairable=True)
-                    else:
-                        comm.send((True, data), source, reply_tag)
+                        return True
                 elif kind == "stat":
                     span.tag(path=subject)
                     try:
-                        rec = self.metadata.get(subject)
+                        reply = Reply(Reply.OK, self.metadata.get(subject))
                     except FileNotFoundInStoreError:
-                        comm.send((False, None), source, reply_tag)
-                    else:
-                        comm.send((True, rec), source, reply_tag)
+                        reply = Reply(Reply.MISS, None)
                 elif kind == "batch":
                     self._serve_batch(request, source)
+                    return True
                 else:  # write_meta
                     if self._stale_epoch(request.epoch):
                         # a mutation decided under a pre-partition view:
@@ -1460,12 +1414,11 @@ class FanStoreDaemon:
                         # clobber majority state
                         self.stats.fenced_rejects += 1
                         span.tag(fenced=True)
-                        comm.send(
-                            (_FENCED, self._view_epoch()), source, reply_tag
-                        )
+                        reply = Reply(Reply.FENCED, self._view_epoch())
                     else:
                         self.metadata.insert(subject)
-                        comm.send((True, None), source, reply_tag)
+                        reply = Reply(Reply.OK, None)
+                comm.send(reply.encode(), source, reply_tag)
         except (CommClosedError, CommError):
             # replying to a torn-down world (or after our own
             # injected death) ends the service loop — a crashed
@@ -1568,14 +1521,21 @@ class FanStoreDaemon:
         :class:`DeadlineExpiredError` instead of starting another
         attempt. Either way the wire body carries the attempt's own
         absolute expiry, so the server can drop work this side has
-        already given up on. An ``(_OVERLOAD, retry_after)`` reply is a
-        shed: back off at least ``retry_after`` before the next attempt,
-        and raise :class:`ServerOverloadedError` when the budget ends on
-        one — overload is the one failure retrying *amplifies*.
+        already given up on. An ``OVERLOAD`` reply is a shed: back off
+        at least its retry-after before the next attempt, and raise
+        :class:`ServerOverloadedError` when the budget ends on one —
+        overload is the one failure retrying *amplifies*. A ``FENCED``
+        reply raises :class:`StaleEpochError` at once.
+
+        Every reply is read through
+        :func:`~repro.fanstore.wire.decode_reply`; one that does not
+        decode, or carries a batch-only status, is a failed attempt just
+        like a timeout. Returns ``(True, value)`` for an ``OK`` reply and
+        ``(False, value)`` for a ``MISS``.
 
         Outcomes feed the per-peer health tracker: reply latencies via
-        :meth:`HealthTracker.observe`, timeouts and sheds via
-        :meth:`HealthTracker.failure`.
+        :meth:`HealthTracker.observe`, timeouts, sheds and undecodable
+        replies via :meth:`HealthTracker.failure`.
         """
         comm = self.comm
         assert comm is not None
@@ -1588,7 +1548,7 @@ class FanStoreDaemon:
         # context rides in the request body for the serving rank to
         # adopt.
         traced = self.tracer.current_context() is not None
-        last_exc: CommError | None = None
+        last_exc: CommError | WireFormatError | None = None
         overload_wait: float | None = None
         for attempt in range(attempts):
             if attempt:
@@ -1631,17 +1591,17 @@ class FanStoreDaemon:
                         epoch=self._fence_token(),
                     ).encode()
                     comm.send((kind, wire_body), dest, TAG_DAEMON)
-                    reply = comm.recv(dest, reply_tag, timeout=attempt_timeout)
+                    reply = decode_reply(
+                        comm.recv(dest, reply_tag, timeout=attempt_timeout)
+                    )
             except (CommClosedError, RankDeadError):
                 raise
-            except CommError as exc:
+            except (CommError, WireFormatError) as exc:
                 last_exc = exc
                 self.health.failure(dest)
                 continue
-            if (
-                isinstance(reply, tuple) and len(reply) == 2
-                and reply[0] == _FENCED
-            ):
+            status = reply.status
+            if status == Reply.FENCED:
                 # a stale fencing token is not retryable: the view this
                 # side acted under is history, and only a membership
                 # catch-up (gossip merge, rejoin) can change that
@@ -1649,27 +1609,30 @@ class FanStoreDaemon:
                 raise StaleEpochError(
                     f"rank {self.rank}: {kind} request to rank {dest} "
                     f"fenced off — our view epoch {self._view_epoch()} is "
-                    f"older than the server's {reply[1]}",
+                    f"older than the server's {reply.value}",
                     path,
                     server_epoch=(
-                        reply[1] if isinstance(reply[1], int) else 0
+                        reply.value if isinstance(reply.value, int) else 0
                     ),
                 )
-            if (
-                isinstance(reply, tuple) and len(reply) == 2
-                and reply[0] == _OVERLOAD
-            ):
+            if status == Reply.OVERLOAD:
                 self.stats.overload_backoffs += 1
                 self.health.failure(dest)
                 last_exc = None
                 overload_wait = (
-                    float(reply[1])
-                    if isinstance(reply[1], (int, float))
+                    float(reply.value)
+                    if isinstance(reply.value, (int, float))
                     else cfg.overload_retry_after_s
                 )
                 continue
+            if status not in (Reply.OK, Reply.MISS):
+                last_exc = WireFormatError(
+                    f"{status} reply to a single {kind} request"
+                )
+                self.health.failure(dest)
+                continue
             self.health.observe(dest, time.perf_counter() - t0)
-            return reply
+            return status == Reply.OK, reply.value
         if overload_wait is not None:
             raise ServerOverloadedError(
                 f"rank {self.rank}: {kind} request to rank {dest} shed by "
@@ -2138,10 +2101,11 @@ class FanStoreDaemon:
     def _hedge_delay(self, dest: int) -> float:
         """How long to leave the home rank alone before hedging: the
         configured quantile of its recent reply latencies, or the fixed
-        ``hedge_after_s`` until samples exist."""
+        ``hedge_after_s`` until enough samples exist."""
         cfg = self.config
         delay = self.health.quantile(
-            dest, cfg.hedge_quantile, cfg.hedge_after_s
+            dest, _HEDGE_QUANTILE, cfg.hedge_after_s,
+            min_samples=_HEDGE_MIN_SAMPLES,
         )
         # floor well above zero so a burst of fast replies cannot turn
         # hedging into send-everything-twice
@@ -2256,7 +2220,7 @@ class FanStoreDaemon:
 
     def _hedge_accept(
         self,
-        reply: Any,
+        raw: Any,
         source: int,
         home: int,
         record: FileRecord,
@@ -2264,23 +2228,26 @@ class FanStoreDaemon:
         span: Any,
     ) -> tuple[bool, Any]:
         """Validate one hedged leg's reply; DataIntegrityError means
-        "keep racing", anything returned is final."""
-        if (
-            isinstance(reply, tuple) and len(reply) == 2
-            and reply[0] == _OVERLOAD
-        ):
+        "keep racing", anything returned is final. A shed or an
+        undecodable reply is a failed leg."""
+        try:
+            reply = decode_reply(raw)
+        except WireFormatError:
+            reply = Reply(Reply.FAILED)
+        if reply.status == Reply.OVERLOAD:
             self.stats.overload_backoffs += 1
+        if reply.status not in (Reply.OK, Reply.MISS):
             self.health.failure(source)
             raise DataIntegrityError(  # caller treats as a dead leg
-                record.path, "hedged leg shed by admission control"
+                record.path, f"hedged leg answered {reply.status}"
             )
-        ok, data = reply
-        if not ok:
+        if reply.status == Reply.MISS:
             # authoritative not-found travels up only from the home
             # rank; a replica without the record is just a losing leg
             if source == home:
-                return False, data
+                return False, reply.value
             raise DataIntegrityError(record.path, "replica missed")
+        data = reply.value
         if not self._blob_ok(record, data):
             raise DataIntegrityError(record.path, "hedged leg corrupt")
         self.health.observe(source, time.perf_counter() - t0)
@@ -2387,7 +2354,7 @@ class FanStoreDaemon:
                 with span:
                     ok, data = self._request(
                         "fetch", norm, replica,
-                        attempts=max(1, self.config.failover_attempts),
+                        attempts=_FAILOVER_ATTEMPTS,
                         deadline=deadline,
                     )
             except (RetryExhaustedError, ServerOverloadedError):

@@ -9,9 +9,9 @@ three mechanisms that close the gap:
 
 - :class:`CircuitBreaker` — the classic closed → open → half-open
   machine, tripped by consecutive hard failures (timeouts, overload
-  sheds) *or* consecutive slow signals (latency above threshold, hedges
-  that fired), so the failover ladder routes around a merely-slow rank
-  long before the detector would mark it SUSPECT;
+  sheds) *or* consecutive slow signals (hedges that fired), so the
+  failover ladder routes around a merely-slow rank long before the
+  detector would mark it SUSPECT;
 - :class:`HealthTracker` — one breaker plus a latency EWMA and a
   bounded sample window per peer, thread-safe, reconciled against the
   membership view by the daemon (a DEAD conviction force-opens, a
@@ -28,6 +28,7 @@ time by hand instead of sleeping.
 from __future__ import annotations
 
 import enum
+import math
 import threading
 import time
 from collections import deque
@@ -170,7 +171,6 @@ class HealthTracker:
         failure_threshold: int = 3,
         slow_threshold: int = 3,
         reset_after: float = 1.0,
-        latency_threshold: float | None = None,
         ewma_alpha: float = 0.2,
         window: int = 128,
         clock: Clock = time.monotonic,
@@ -180,7 +180,6 @@ class HealthTracker:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.rank = rank
-        self.latency_threshold = latency_threshold
         self._alpha = ewma_alpha
         self._window = window
         self._clock = clock
@@ -214,8 +213,7 @@ class HealthTracker:
 
     def observe(self, peer: int, seconds: float) -> None:
         """A completed exchange took ``seconds``. Feeds the EWMA and
-        the quantile window; counts as a success — or as a *slow*
-        strike when above ``latency_threshold``."""
+        the quantile window; counts as a success."""
         with self._lock:
             prev = self._ewma.get(peer)
             self._ewma[peer] = (
@@ -226,15 +224,11 @@ class HealthTracker:
             if samples is None:
                 samples = self._samples[peer] = deque(maxlen=self._window)
             samples.append(seconds)
-            br = self._breaker(peer)
-            threshold = self.latency_threshold
-            if threshold is not None and seconds > threshold:
-                self._signal(peer, br.record_slow)
-            else:
-                self._signal(peer, br.record_success)
+            self._signal(peer, self._breaker(peer).record_success)
 
     def failure(self, peer: int) -> None:
-        """A hard failure against ``peer`` (timeout, overload shed)."""
+        """A hard failure against ``peer`` (timeout, overload shed,
+        undecodable reply)."""
         with self._lock:
             self._signal(peer, self._breaker(peer).record_failure)
 
@@ -278,18 +272,22 @@ class HealthTracker:
         with self._lock:
             return self._ewma.get(peer)
 
-    def quantile(self, peer: int, q: float, default: float) -> float:
+    def quantile(
+        self, peer: int, q: float, default: float, *, min_samples: int = 1
+    ) -> float:
         """The ``q``-quantile of the peer's recent latencies, or
-        ``default`` before any samples exist (nearest-rank on the
-        bounded window — an estimate, not a full history)."""
+        ``default`` while fewer than ``min_samples`` samples exist
+        (nearest-rank on the bounded window — an estimate, not a full
+        history). Nearest-rank never rounds down: with fewer than
+        ``1 / (1 - q)`` samples the estimate is the window maximum."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
         with self._lock:
             samples = self._samples.get(peer)
-            if not samples:
+            if not samples or len(samples) < min_samples:
                 return default
             ordered = sorted(samples)
-            return ordered[int(q * (len(ordered) - 1))]
+            return ordered[max(math.ceil(q * len(ordered)) - 1, 0)]
 
     def open_peers(self) -> list[int]:
         """Peers currently skipped (state OPEN), for observability."""

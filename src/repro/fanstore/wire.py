@@ -1,39 +1,32 @@
 """Typed request/reply envelopes for the daemon wire protocol (v2).
 
-The daemon's wire bodies accreted into positional 2/3/4/5-tuples —
-``(subject, reply_tag[, trace_ctx[, deadline[, epoch]]])`` — that every
-new feature had to thread by hand. This module replaces them with one
-typed :class:`Request` envelope carrying every field by name, encoded
-as a *self-identifying* tuple:
+Every request body is one typed :class:`Request` envelope carrying
+every field by name, encoded as a *self-identifying* tuple:
 
     (WIRE_MAGIC, WIRE_VERSION, subject, reply_tag,
      trace_ctx, deadline, epoch, batch)
 
 ``WIRE_MAGIC`` contains NUL bytes, which :func:`~repro.fanstore.
-metadata.normalize` never produces in a path, so a v2 envelope can
-never be mistaken for a legacy tuple whose first element is a subject
-path. Versions above :data:`WIRE_VERSION` decode their known prefix
-(fields are only ever appended), so a v2 server keeps serving v3
-clients.
+metadata.normalize` never produces in a path, so no body that merely
+starts with a subject can pass for an envelope. Anything that is not
+an envelope is rejected with :class:`~repro.errors.WireFormatError`.
+Versions above :data:`WIRE_VERSION` decode their known prefix (fields
+are only ever appended), so a v2 server keeps serving v3 clients.
 
-Legacy positional bodies still decode through :func:`decode_request` —
-a compatibility shim that emits a :class:`DeprecationWarning` — so
-pre-envelope senders keep working for one deprecation cycle.
-
-Replies stay legacy-shaped on the wire (``(True, data)``,
-``(False, subject_or_None)``, ``(OVERLOAD, retry_after)``,
-``(FENCED, server_epoch)``) so pre-envelope *clients* parse new
-servers' answers unchanged; :class:`Reply` gives them names. Two new
-markers cover the batched path: ``EXPIRED`` (the server dropped one
-batch item whose deadline had lapsed) and ``FAILED`` (one batch item
-errored — only its waiter falls back, the rest of the batch is
-unaffected). A batch reply is ``(BATCH, (encoded item replies...))``
-in request-item order.
+There is one codec in each direction. Requests are built with
+``Request(...).encode()`` and read with :func:`decode_request`; replies
+are built with ``Reply(...).encode()`` and read with
+:func:`decode_reply`. A reply is a ``(marker, value)`` pair:
+``(True, data)``, ``(False, subject_or_None)``, ``(OVERLOAD,
+retry_after)``, ``(FENCED, server_epoch)``, and, for batch items only,
+``EXPIRED`` (the server dropped one batch item whose deadline had
+lapsed) and ``FAILED`` (one batch item errored — only its waiter falls
+back, the rest of the batch is unaffected). A batch reply is ``(BATCH,
+(encoded item replies...))`` in request-item order.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
@@ -107,77 +100,45 @@ class Request:
         )
 
 
-def _decode_legacy(body: Any) -> Request:
-    """Compatibility shim for pre-envelope positional bodies
-    (2/3/4/5-tuples). Deprecated: senders should build a
-    :class:`Request` and put ``request.encode()`` on the wire."""
-    warnings.warn(
-        "legacy positional daemon wire bodies are deprecated; send "
-        "repro.fanstore.wire.Request(...).encode() instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    try:
-        subject, reply_tag, *rest = body
-    except (TypeError, ValueError) as exc:
-        raise WireFormatError(f"unparseable wire body: {body!r}") from exc
-    if len(rest) > 3:
-        raise WireFormatError(
-            f"legacy wire body has {2 + len(rest)} fields; at most 5 "
-            "(subject, reply_tag, trace_ctx, deadline, epoch) are defined"
-        )
-    trace_ctx = rest[0] if rest else None
-    deadline = wire_deadline(rest[1]) if len(rest) > 1 else None
-    epoch = rest[2] if len(rest) > 2 else None
-    return Request(
-        subject=subject,
-        reply_tag=reply_tag,
-        trace_ctx=trace_ctx,
-        deadline=deadline,
-        epoch=epoch,
-        batch=None,
-    )
-
-
 def decode_request(body: Any) -> Request:
-    """Decode one wire body — v2 envelope or legacy positional tuple —
-    into a validated :class:`Request`.
+    """Decode one wire body — a v2 envelope — into a validated
+    :class:`Request`.
 
-    Hostile headers surface as :class:`WireFormatError` (the server
-    counts them malformed), never as a crash: the deadline is sanitized
+    A body that is not an envelope, and hostile headers, surface as
+    :class:`WireFormatError` (the server counts them malformed), never
+    as a crash: the deadline is sanitized
     through :func:`~repro.comm.deadline.wire_deadline`, the reply tag
     and epoch are type-checked, and a batch must be a tuple.
     """
-    if (
+    if not (
         isinstance(body, tuple)
         and len(body) >= 2
         and body[0] == WIRE_MAGIC
     ):
-        version = body[1]
-        if not isinstance(version, int) or version < WIRE_VERSION:
-            raise WireFormatError(
-                f"bad envelope version: {version!r} (oldest supported is "
-                f"{WIRE_VERSION})"
-            )
-        if len(body) < 8:
-            raise WireFormatError(
-                f"v{version} envelope has {len(body)} fields; "
-                "8 (magic, version, subject, reply_tag, trace_ctx, "
-                "deadline, epoch, batch) are required"
-            )
-        # forward compatibility: fields are append-only, so a newer
-        # sender's extras are ignorable rather than fatal
-        _, _, subject, reply_tag, trace_ctx, deadline, epoch, batch = body[:8]
-        request = Request(
-            subject=subject,
-            reply_tag=reply_tag,
-            trace_ctx=trace_ctx,
-            deadline=wire_deadline(deadline),
-            epoch=epoch,
-            batch=batch,
+        raise WireFormatError(f"not a wire envelope: {body!r}")
+    version = body[1]
+    if not isinstance(version, int) or version < WIRE_VERSION:
+        raise WireFormatError(
+            f"bad envelope version: {version!r} (oldest supported is "
+            f"{WIRE_VERSION})"
         )
-    else:
-        request = _decode_legacy(body)
+    if len(body) < 8:
+        raise WireFormatError(
+            f"v{version} envelope has {len(body)} fields; "
+            "8 (magic, version, subject, reply_tag, trace_ctx, "
+            "deadline, epoch, batch) are required"
+        )
+    # forward compatibility: fields are append-only, so a newer
+    # sender's extras are ignorable rather than fatal
+    _, _, subject, reply_tag, trace_ctx, deadline, epoch, batch = body[:8]
+    request = Request(
+        subject=subject,
+        reply_tag=reply_tag,
+        trace_ctx=trace_ctx,
+        deadline=wire_deadline(deadline),
+        epoch=epoch,
+        batch=batch,
+    )
     if (
         isinstance(request.reply_tag, bool)
         or not isinstance(request.reply_tag, int)
@@ -195,8 +156,8 @@ def decode_request(body: Any) -> Request:
 
 @dataclass(frozen=True)
 class Reply:
-    """One reply, named. ``encode()`` produces the exact legacy wire
-    shapes, so pre-envelope clients keep parsing new servers."""
+    """One reply, named; ``encode()`` gives its ``(marker, value)``
+    wire pair."""
 
     status: str
     value: Any = None
@@ -209,21 +170,37 @@ class Reply:
     FAILED = "failed"
 
     def encode(self) -> tuple:
-        head = {
-            Reply.OK: True,
-            Reply.MISS: False,
-            Reply.OVERLOAD: OVERLOAD,
-            Reply.FENCED: FENCED,
-            Reply.EXPIRED: EXPIRED,
-            Reply.FAILED: FAILED,
-        }.get(self.status)
-        if head is None:
-            raise WireFormatError(f"unknown reply status: {self.status!r}")
-        return (head, self.value)
+        try:
+            return (_MARKER_OF[self.status], self.value)
+        except KeyError:
+            raise WireFormatError(
+                f"unknown reply status: {self.status!r}"
+            ) from None
+
+
+#: reply status -> wire marker (the first element of a reply pair)
+_MARKER_OF = {
+    Reply.OK: True,
+    Reply.MISS: False,
+    Reply.OVERLOAD: OVERLOAD,
+    Reply.FENCED: FENCED,
+    Reply.EXPIRED: EXPIRED,
+    Reply.FAILED: FAILED,
+}
+
+#: string wire marker -> reply status (the bool markers are matched by
+#: identity, so ``1`` never decodes as OK)
+_STATUS_OF = {
+    OVERLOAD: Reply.OVERLOAD,
+    FENCED: Reply.FENCED,
+    EXPIRED: Reply.EXPIRED,
+    FAILED: Reply.FAILED,
+}
 
 
 def decode_reply(raw: Any) -> Reply:
-    """Decode one (item) reply tuple into a :class:`Reply`."""
+    """Decode one (item) reply pair into a :class:`Reply`; anything
+    else raises :class:`WireFormatError`."""
     if not isinstance(raw, tuple) or len(raw) != 2:
         raise WireFormatError(f"unparseable reply: {raw!r}")
     head, value = raw
@@ -231,12 +208,7 @@ def decode_reply(raw: Any) -> Reply:
         return Reply(Reply.OK, value)
     if head is False:
         return Reply(Reply.MISS, value)
-    status = {
-        OVERLOAD: Reply.OVERLOAD,
-        FENCED: Reply.FENCED,
-        EXPIRED: Reply.EXPIRED,
-        FAILED: Reply.FAILED,
-    }.get(head)
+    status = _STATUS_OF.get(head) if isinstance(head, str) else None
     if status is None:
         raise WireFormatError(f"unknown reply marker: {head!r}")
     return Reply(status, value)

@@ -77,7 +77,7 @@ class Counter:
 class BoundCounter:
     """A counter whose storage is an attribute of another object.
 
-    This is how the legacy stats dataclasses (``DaemonStats``,
+    This is how the stats dataclasses (``DaemonStats``,
     ``CacheStats``, ``MembershipStats``) fold into the registry without
     touching their hot ``+=`` sites: the dataclass field *is* the
     counter cell; the registry reads (and can write) through it.
@@ -260,7 +260,7 @@ class MetricsRegistry:
     call fixes the metric's type (and, for histograms, edges), and a
     later call with a clashing type raises. ``bind_*`` register
     metrics whose storage lives on an existing stats object — the
-    zero-overhead path for the legacy dataclasses.
+    zero-overhead path for the stats dataclasses.
     """
 
     def __init__(self, rank: int = 0, label: str | None = None) -> None:

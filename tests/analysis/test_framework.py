@@ -134,7 +134,8 @@ class TestCli:
             "error-conventions",
             "determinism",
             "metric-catalogue",
-            "deprecated-facade",
+            "deadline-propagation",
+            "durable-write",
         ):
             assert rule in out
 

@@ -16,7 +16,7 @@ from repro.comm.launcher import run_parallel
 from repro.errors import CommClosedError, RankDeadError
 from repro.fanstore.daemon import _REPLY_TAG_BASE, DaemonConfig
 from repro.fanstore.metadata import normalize
-from repro.fanstore.store import FanStore
+from repro.fanstore.store import FanStore, FanStoreOptions
 
 CHAOS_SEEDS = (101, 202, 303)
 seeds = pytest.mark.parametrize(
@@ -66,7 +66,7 @@ def _body_with_dead_rank(prepared, world, config, originals):
     reads, survivors read the full namespace and verify bytes."""
 
     def body(comm):
-        fs = FanStore(prepared, comm=comm, config=config)
+        fs = FanStore(prepared, FanStoreOptions(comm=comm, config=config))
         comm.barrier()  # everyone loaded and serving
         if comm.rank == DEAD:
             try:  # park like a rank waiting on work; the kill lands here
@@ -106,7 +106,8 @@ class TestRetry:
         config = DaemonConfig(**FAST)
 
         def body(comm):
-            with FanStore(prepared_dataset, comm=comm, config=config) as fs:
+            opts = FanStoreOptions(comm=comm, config=config)
+            with FanStore(prepared_dataset, opts) as fs:
                 data = _read_everything(fs)
                 assert data == originals
                 return (fs.daemon.stats.retries, fs.daemon.stats.failovers)
@@ -149,7 +150,8 @@ class TestReplicaFailover:
         world = ChaosWorld(RANKS, FaultPlan(seed))
 
         def body(comm):
-            with FanStore(prepared_dataset, comm=comm, config=config) as fs:
+            opts = FanStoreOptions(comm=comm, config=config)
+            with FanStore(prepared_dataset, opts) as fs:
                 table = fs.daemon.metadata
                 located = 0
                 for rec in table.walk_files():
@@ -198,7 +200,8 @@ class TestDegradedReads:
         config = DaemonConfig(**FAST)
 
         def body(comm):
-            with FanStore(prepared_dataset, comm=comm, config=config) as fs:
+            opts = FanStoreOptions(comm=comm, config=config)
+            with FanStore(prepared_dataset, opts) as fs:
                 data = _read_everything(fs)
                 assert data == originals
                 s = fs.daemon.stats

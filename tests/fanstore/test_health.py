@@ -15,13 +15,12 @@ import pytest
 from repro.comm.communicator import ANY_SOURCE
 from repro.comm.deadline import Deadline, wire_deadline
 from repro.comm.launcher import run_parallel
-from repro.errors import DeadlineExpiredError, ServerOverloadedError
-from repro.fanstore.daemon import (
-    _OVERLOAD,
-    TAG_DAEMON,
-    DaemonConfig,
-    FanStoreDaemon,
+from repro.errors import (
+    DeadlineExpiredError,
+    RetryExhaustedError,
+    ServerOverloadedError,
 )
+from repro.fanstore.daemon import TAG_DAEMON, DaemonConfig, FanStoreDaemon
 from repro.fanstore.health import (
     AdmissionQueue,
     BreakerState,
@@ -30,7 +29,7 @@ from repro.fanstore.health import (
 )
 from repro.fanstore.layout import FileStat, blob_crc32
 from repro.fanstore.metadata import FileRecord
-from repro.fanstore.wire import decode_request
+from repro.fanstore.wire import OVERLOAD, decode_request
 
 
 class FakeClock:
@@ -182,6 +181,22 @@ class TestHealthTracker:
         with pytest.raises(ValueError):
             h.quantile(1, 1.5, default=0.0)
 
+    def test_quantile_nearest_rank_and_min_samples(self):
+        h = self.tracker()
+        for v in (0.001, 0.002, 0.009):
+            h.observe(1, v)
+        # nearest-rank never rounds down: a p95 of three samples is
+        # their maximum, not the median
+        assert h.quantile(1, 0.95, default=0.03) == pytest.approx(0.009)
+        assert h.quantile(1, 0.5, default=0.03) == pytest.approx(0.002)
+        # too few samples to trust: the default still answers
+        assert h.quantile(1, 0.95, default=0.03, min_samples=4) == 0.03
+        for v in range(1, 18):
+            h.observe(1, v / 1000)
+        assert h.quantile(1, 0.95, default=0.03, min_samples=20) == (
+            pytest.approx(0.016)
+        )
+
     def test_failures_open_and_fire_callback(self):
         h = self.tracker()
         opened = []
@@ -192,12 +207,6 @@ class TestHealthTracker:
         assert not h.allow(2)
         assert h.open_peers() == [2]
         assert opened == [2]
-
-    def test_latency_threshold_turns_observes_into_slow_strikes(self):
-        h = self.tracker(latency_threshold=0.05, slow_threshold=3)
-        for _ in range(3):
-            h.observe(3, 0.2)
-        assert h.state(3) is BreakerState.OPEN
 
     def test_note_slow_strikes(self):
         h = self.tracker(slow_threshold=2)
@@ -380,9 +389,13 @@ FAST = dict(
 )
 
 
-def _serve_until_done(comm, reply=None):
+#: ``_serve_until_done`` default: swallow requests, never answer
+SILENT = object()
+
+
+def _serve_until_done(comm, reply=SILENT):
     """Stub server: answer every daemon request with ``reply`` (or
-    swallow it when None) until a 'done' kind arrives."""
+    swallow it when SILENT) until a 'done' kind arrives."""
     while True:
         payload, src, _tag = comm.recv_with_status(
             ANY_SOURCE, TAG_DAEMON, timeout=30
@@ -390,7 +403,7 @@ def _serve_until_done(comm, reply=None):
         kind, body = payload
         if kind == "done":
             return None
-        if reply is not None:
+        if reply is not SILENT:
             reply_tag = decode_request(body).reply_tag
             comm.send(reply, src, reply_tag)
 
@@ -399,7 +412,7 @@ class TestOverloadReplies:
     def test_every_attempt_shed_raises_server_overloaded(self):
         def body(comm):
             if comm.rank == 1:
-                return _serve_until_done(comm, reply=(_OVERLOAD, 0.01))
+                return _serve_until_done(comm, reply=(OVERLOAD, 0.01))
             daemon = FanStoreDaemon(comm, config=DaemonConfig(**FAST))
             with pytest.raises(ServerOverloadedError) as ei:
                 daemon._request("fetch", "some/path", 1)
@@ -422,7 +435,7 @@ class TestOverloadReplies:
     def test_overload_trips_the_breaker_like_a_failure(self):
         def body(comm):
             if comm.rank == 1:
-                return _serve_until_done(comm, reply=(_OVERLOAD, 0.0))
+                return _serve_until_done(comm, reply=(OVERLOAD, 0.0))
             cfg = DaemonConfig(breaker_failure_threshold=2, **FAST)
             daemon = FanStoreDaemon(comm, config=cfg)
             with pytest.raises(ServerOverloadedError):
@@ -435,11 +448,41 @@ class TestOverloadReplies:
         assert opens == 1
 
 
+class TestMalformedReplies:
+    @pytest.mark.parametrize(
+        "reply", [("garbage",), None], ids=["1-tuple", "none"]
+    )
+    def test_malformed_reply_is_a_failed_attempt(self, reply):
+        # a reply that does not decode is charged like a timeout and
+        # ends the budget as a typed error, never a bare unpack error
+        def body(comm):
+            if comm.rank == 1:
+                return _serve_until_done(comm, reply=reply)
+            daemon = FanStoreDaemon(comm, config=DaemonConfig(**FAST))
+            charged = []
+            failure = daemon.health.failure
+
+            def counting_failure(peer):
+                charged.append(peer)
+                failure(peer)
+
+            daemon.health.failure = counting_failure
+            with pytest.raises(RetryExhaustedError) as ei:
+                daemon._request("fetch", "some/path", 1)
+            comm.send(("done", None), 1, TAG_DAEMON)
+            return charged, daemon.stats.retries, ei.value.filename
+
+        charged, retries, path = run_parallel(body, 2, timeout=30)[0]
+        assert charged == [1, 1]  # both attempts charged to the peer
+        assert retries == 1
+        assert path == "some/path"
+
+
 class TestDeadlineBudgetedRetries:
     def test_deadline_bounds_the_whole_retry_ladder(self):
         def body(comm):
             if comm.rank == 1:
-                return _serve_until_done(comm, reply=None)  # never answer
+                return _serve_until_done(comm)  # never answer
             cfg = DaemonConfig(
                 request_timeout=0.15,
                 max_retries=8,

@@ -31,7 +31,7 @@ from repro.fanstore.prepare import (
     MANIFEST_VERSION,
     PreparedDataset,
 )
-from repro.fanstore.store import FanStore
+from repro.fanstore.store import FanStore, FanStoreOptions
 
 
 # -- digests recorded at prepare time -----------------------------------
@@ -184,7 +184,7 @@ class TestVerifyOnRead:
 
     def test_verify_reads_off_serves_bytes_unchecked(self, prepared_dataset):
         config = DaemonConfig(verify_reads=False)
-        with FanStore(prepared_dataset, config=config) as fs:
+        with FanStore(prepared_dataset, FanStoreOptions(config=config)) as fs:
             victim = sorted(r.path for r in fs.daemon.metadata.records())[0]
             bad = corrupt_backend(fs.daemon.backend, victim, seed=3)
             assert fs.daemon.fetch_compressed(victim) == bad

@@ -6,13 +6,13 @@ import pytest
 
 from repro.comm.launcher import run_parallel
 from repro.fanstore.daemon import DaemonConfig
-from repro.fanstore.store import FanStore
+from repro.fanstore.store import FanStore, FanStoreOptions
 
 
 @pytest.fixture()
 def compressing_store(prepared_dataset):
     config = DaemonConfig(output_compressor="zlib-6")
-    with FanStore(prepared_dataset, config=config) as fs:
+    with FanStore(prepared_dataset, FanStoreOptions(config=config)) as fs:
         yield fs
 
 
@@ -60,7 +60,8 @@ class TestCompressedOutputs:
         config = DaemonConfig(output_compressor="zlib-6")
 
         def body(comm):
-            with FanStore(prepared_dataset, comm=comm, config=config) as fs:
+            opts = FanStoreOptions(comm=comm, config=config)
+            with FanStore(prepared_dataset, opts) as fs:
                 payload = f"rank {comm.rank} ".encode() * 300
                 fs.client.write_file(f"out/r{comm.rank}.bin", payload)
                 comm.barrier()

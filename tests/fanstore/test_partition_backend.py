@@ -7,7 +7,7 @@ import pytest
 from repro.comm.launcher import run_parallel
 from repro.errors import FileNotFoundInStoreError
 from repro.fanstore.backend import PartitionBackend
-from repro.fanstore.store import FanStore
+from repro.fanstore.store import FanStore, FanStoreOptions
 
 
 class TestStandalone:
@@ -39,7 +39,8 @@ class TestWithStore:
     def test_single_node_reads_by_pread(self, prepared_dataset,
                                         raw_dataset_dir):
         backend = PartitionBackend()
-        with FanStore(prepared_dataset, backend=backend) as fs:
+        opts = FanStoreOptions(backend=backend)
+        with FanStore(prepared_dataset, opts) as fs:
             originals = {
                 str(p.relative_to(raw_dataset_dir / "train")): p.read_bytes()
                 for p in sorted((raw_dataset_dir / "train").rglob("*"))
@@ -54,7 +55,8 @@ class TestWithStore:
 
     def test_writes_still_work(self, prepared_dataset):
         backend = PartitionBackend()
-        with FanStore(prepared_dataset, backend=backend) as fs:
+        opts = FanStoreOptions(backend=backend)
+        with FanStore(prepared_dataset, opts) as fs:
             fs.client.write_file("out/x.bin", b"overlayed")
             assert fs.client.read_file("out/x.bin") == b"overlayed"
         backend.close()
@@ -63,8 +65,8 @@ class TestWithStore:
         def body(comm):
             backend = PartitionBackend()
             try:
-                with FanStore(prepared_dataset, comm=comm,
-                              backend=backend) as fs:
+                opts = FanStoreOptions(comm=comm, backend=backend)
+                with FanStore(prepared_dataset, opts) as fs:
                     total = 0
                     for rec in fs.daemon.metadata.walk_files():
                         total += len(fs.client.read_file(rec.path))
@@ -77,7 +79,8 @@ class TestWithStore:
 
     def test_matches_ram_backend_bytes(self, prepared_dataset):
         backend = PartitionBackend()
-        with FanStore(prepared_dataset, backend=backend) as on_disk, \
+        opts = FanStoreOptions(backend=backend)
+        with FanStore(prepared_dataset, opts) as on_disk, \
                 FanStore(prepared_dataset) as in_ram:
             for rec in in_ram.daemon.metadata.walk_files():
                 assert on_disk.client.read_file(rec.path) == \

@@ -4,8 +4,8 @@ Single-flight fetch coalescing (a miss storm runs one failover ladder),
 the :meth:`DecompressedCache.get_or_compute` double-decompress fix,
 per-destination request batching (parked requests flush as one envelope,
 items keep their own deadlines and error isolation), a hedged miss storm
-installing exactly one cache entry, and the typed wire envelope with its
-legacy-tuple compatibility shim.
+installing exactly one cache entry, and the typed wire envelope (the
+one request form the daemon accepts).
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ class TestWireEnvelope:
         assert decode_request(req.encode()) == req
 
     def test_magic_stays_out_of_the_path_value_space(self):
-        # normalized paths never contain NULs, so version dispatch can
-        # never mistake an envelope for a legacy (subject, ...) tuple
+        # normalized paths never contain NULs, so no (subject, ...) body
+        # can pass for an envelope
         assert "\x00" in WIRE_MAGIC
 
     def test_newer_version_decodes_known_prefix(self):
@@ -122,6 +122,25 @@ class TestWireEnvelope:
         with pytest.raises(WireFormatError):
             decode_request(tuple(body))
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            ("p", 9),
+            ("p", 9, ("ctx",)),
+            ("p", 9, None, 55.0),
+            ("p", 9, None, 55.0, 4),
+            ("p", 9, None, 55.0, 4, "extra"),
+            12345,
+        ],
+        ids=["2-tuple", "3-tuple", "4-tuple", "5-tuple", "6-tuple",
+             "non-tuple"],
+    )
+    def test_hostile_bodies_rejected(self, body):
+        # positional bodies are not envelopes: the server counts them
+        # malformed rather than guessing at their fields
+        with pytest.raises(WireFormatError):
+            decode_request(body)
+
     def test_replies_stay_legacy_shaped(self):
         assert Reply(Reply.OK, b"d").encode() == (True, b"d")
         assert Reply(Reply.MISS, "p").encode() == (False, "p")
@@ -136,8 +155,9 @@ class TestWireEnvelope:
             Reply(Reply.EXPIRED, "p"),
         ):
             assert decode_reply(reply.encode()) == reply
-        with pytest.raises(WireFormatError):
-            decode_reply(("__mystery__", None))
+        for raw in (("__mystery__", None), ([], None), (1, b"x")):
+            with pytest.raises(WireFormatError):
+                decode_reply(raw)
 
     def test_batch_reply_round_trip(self):
         replies = [
@@ -150,40 +170,6 @@ class TestWireEnvelope:
     def test_non_batch_reply_decodes_to_none(self):
         assert decode_batch_reply((True, b"payload")) is None
         assert decode_batch_reply((OVERLOAD, 0.1)) is None
-
-
-class TestLegacyShim:
-    def test_two_tuple_round_trips(self):
-        with pytest.warns(DeprecationWarning):
-            req = decode_request(("train/x", 9))
-        assert req == Request(subject="train/x", reply_tag=9)
-
-    def test_three_four_five_tuples_round_trip(self):
-        with pytest.warns(DeprecationWarning):
-            r3 = decode_request(("p", 9, ("ctx",)))
-        assert r3.trace_ctx == ("ctx",)
-        assert r3.deadline is None
-        with pytest.warns(DeprecationWarning):
-            r4 = decode_request(("p", 9, None, 55.0))
-        assert r4.deadline == 55.0
-        assert r4.epoch is None
-        with pytest.warns(DeprecationWarning):
-            r5 = decode_request(("p", 9, None, 55.0, 4))
-        assert r5.epoch == 4
-        assert r5.batch is None
-
-    def test_oversized_legacy_tuple_rejected(self):
-        with pytest.warns(DeprecationWarning), pytest.raises(WireFormatError):
-            decode_request(("p", 9, None, None, 1, "extra"))
-
-    def test_unparseable_body_rejected(self):
-        with pytest.warns(DeprecationWarning), pytest.raises(WireFormatError):
-            decode_request(12345)
-
-    def test_bogus_legacy_deadline_sanitized(self):
-        with pytest.warns(DeprecationWarning):
-            req = decode_request(("p", 9, None, "soon"))
-        assert req.deadline is None
 
 
 # -- the single-flight primitive ------------------------------------------
@@ -737,13 +723,13 @@ class TestPipelineKnobs:
         with pytest.raises(FanStoreError):
             PipelineConfig(**bad)
 
-    def test_legacy_kwargs_deprecated_but_honoured(self):
-        with pytest.warns(DeprecationWarning):
-            daemon = FanStoreDaemon(pipeline_workers=0, batch_max=1)
-        assert daemon.config.pipeline.pipeline_workers == 0
-        assert daemon.config.pipeline.batch_max == 1
-        assert daemon.config.pipeline.max_inflight == 32  # untouched default
-
     def test_unknown_kwarg_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="bogus_knob"):
             FanStoreDaemon(bogus_knob=1)
+
+    def test_legacy_scheduler_kwargs_rejected(self):
+        # the scheduler knobs live on DaemonConfig(pipeline=...), not on
+        # the daemon's constructor
+        for knob in ("pipeline_workers", "batch_max"):
+            with pytest.raises(TypeError, match=knob):
+                FanStoreDaemon(**{knob: 1})

@@ -9,13 +9,13 @@ import pytest
 from repro.comm.launcher import run_parallel
 from repro.errors import CapacityError
 from repro.fanstore.daemon import DaemonConfig
-from repro.fanstore.store import FanStore
+from repro.fanstore.store import FanStore, FanStoreOptions
 
 
 class TestGlobalView:
     def test_every_rank_sees_identical_namespace(self, prepared_dataset):
         def body(comm):
-            with FanStore(prepared_dataset, comm=comm) as fs:
+            with FanStore(prepared_dataset, FanStoreOptions(comm=comm)) as fs:
                 records = sorted(
                     (r.path, r.home_rank, r.stat.st_size)
                     for r in fs.daemon.metadata.walk_files()
@@ -28,7 +28,7 @@ class TestGlobalView:
 
     def test_partition_round_robin_placement(self, prepared_dataset):
         def body(comm):
-            with FanStore(prepared_dataset, comm=comm) as fs:
+            with FanStore(prepared_dataset, FanStoreOptions(comm=comm)) as fs:
                 local = [
                     r.partition_id
                     for r in fs.daemon.metadata.local_records(comm.rank)
@@ -41,7 +41,7 @@ class TestGlobalView:
 
     def test_broadcast_partition_local_everywhere(self, prepared_dataset):
         def body(comm):
-            with FanStore(prepared_dataset, comm=comm) as fs:
+            with FanStore(prepared_dataset, FanStoreOptions(comm=comm)) as fs:
                 val_files = [
                     p for p in fs.client.listdir("val")
                 ]
@@ -57,7 +57,7 @@ class TestGlobalView:
 class TestRemoteFetch:
     def test_all_ranks_read_all_files(self, prepared_dataset, raw_dataset_dir):
         def body(comm):
-            with FanStore(prepared_dataset, comm=comm) as fs:
+            with FanStore(prepared_dataset, FanStoreOptions(comm=comm)) as fs:
                 total = 0
                 for rec in fs.daemon.metadata.walk_files():
                     data = fs.client.read_file(rec.path)
@@ -81,7 +81,7 @@ class TestRemoteFetch:
         }
 
         def body(comm):
-            with FanStore(prepared_dataset, comm=comm) as fs:
+            with FanStore(prepared_dataset, FanStoreOptions(comm=comm)) as fs:
                 for rel, raw in originals.items():
                     assert fs.client.read_file(rel) == raw
                 return True
@@ -94,7 +94,8 @@ class TestExtraPartitions:
         config = DaemonConfig(extra_partition_budget=2)
 
         def body(comm):
-            with FanStore(prepared_dataset, comm=comm, config=config) as fs:
+            opts = FanStoreOptions(comm=comm, config=config)
+            with FanStore(prepared_dataset, opts) as fs:
                 for rec in fs.daemon.metadata.walk_files():
                     fs.client.read_file(rec.path)
                 return fs.daemon.stats.remote_fetches
@@ -106,7 +107,7 @@ class TestExtraPartitions:
 class TestWritePath:
     def test_output_metadata_forwarded_to_owner(self, prepared_dataset):
         def body(comm):
-            with FanStore(prepared_dataset, comm=comm) as fs:
+            with FanStore(prepared_dataset, FanStoreOptions(comm=comm)) as fs:
                 path = f"out/rank{comm.rank}.bin"
                 fs.client.write_file(path, bytes([comm.rank]) * 8)
                 comm.barrier()
@@ -127,7 +128,8 @@ class TestCapacity:
         config = DaemonConfig(capacity_bytes=10)  # absurdly small
 
         def body(comm):
-            with FanStore(prepared_dataset, comm=comm, config=config):
+            opts = FanStoreOptions(comm=comm, config=config)
+            with FanStore(prepared_dataset, opts):
                 return True
 
         from repro.comm.launcher import ParallelFailure
@@ -160,6 +162,7 @@ class TestSingleNode:
         assert single_store.size == 1
 
     def test_disk_backend_store(self, prepared_dataset, tmp_path):
-        with FanStore(prepared_dataset, local_dir=tmp_path / "local") as fs:
+        opts = FanStoreOptions(local_dir=tmp_path / "local")
+        with FanStore(prepared_dataset, opts) as fs:
             assert fs.verify_integrity(sample=3) == 3
             assert len(list((tmp_path / "local").iterdir())) > 0

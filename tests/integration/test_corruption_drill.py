@@ -19,7 +19,7 @@ from repro.fanstore.faults import CheckpointManager
 from repro.fanstore.layout import read_partition
 from repro.fanstore.metadata import normalize
 from repro.fanstore.prepare import PreparedDataset
-from repro.fanstore.store import FanStore
+from repro.fanstore.store import FanStore, FanStoreOptions
 from repro.training.loader import SyncLoader, list_training_files
 from repro.training.models import MLP
 from repro.training.trainer import DataParallelTrainer, make_array_collate
@@ -71,7 +71,8 @@ class TestCorruptionDrill:
 
         def body(comm):
             config = DaemonConfig(**FAST)
-            with FanStore(prepared_dataset, comm=comm, config=config) as fs:
+            opts = FanStoreOptions(comm=comm, config=config)
+            with FanStore(prepared_dataset, opts) as fs:
                 # each rank corrupts K of the records it is home for —
                 # its *staged* copies only; the shared FS stays good
                 local = sorted(
@@ -144,7 +145,8 @@ class TestCorruptionDrill:
 
         def body(comm):
             config = DaemonConfig(**FAST)
-            with FanStore(prepared_dataset, comm=comm, config=config) as fs:
+            opts = FanStoreOptions(comm=comm, config=config)
+            with FanStore(prepared_dataset, opts) as fs:
                 local = sorted(
                     r.path
                     for r in fs.daemon.metadata.local_records(comm.rank)

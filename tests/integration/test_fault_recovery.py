@@ -19,7 +19,7 @@ from repro.errors import CommError
 from repro.fanstore.daemon import TAG_DAEMON, DaemonConfig
 from repro.fanstore.faults import CheckpointManager
 from repro.fanstore.metadata import normalize
-from repro.fanstore.store import FanStore
+from repro.fanstore.store import FanStore, FanStoreOptions
 from repro.training.loader import SyncLoader, list_training_files
 from repro.training.models import MLP
 from repro.training.trainer import DataParallelTrainer, make_array_collate
@@ -84,7 +84,7 @@ def test_crash_then_resume_matches_uninterrupted(prepared_dataset, tmp_path):
 
     # Reference: an uninterrupted run.
     def clean(comm):
-        with FanStore(prepared_dataset, comm=comm) as fs:
+        with FanStore(prepared_dataset, FanStoreOptions(comm=comm)) as fs:
             trainer = _make_trainer(fs, comm, ckpt_clean, epochs)
             trainer.train()
             return trainer.model.get_flat_params()
@@ -94,7 +94,7 @@ def test_crash_then_resume_matches_uninterrupted(prepared_dataset, tmp_path):
     # Crashed run: rank 1 dies entering epoch 2 (epochs 0-1 completed
     # and checkpointed by rank 0).
     def crashing(comm):
-        with FanStore(prepared_dataset, comm=comm) as fs:
+        with FanStore(prepared_dataset, FanStoreOptions(comm=comm)) as fs:
             trainer = _make_trainer(
                 fs, comm, ckpt_crash, epochs,
                 crash_after=1 if comm.rank == 1 else None,
@@ -115,7 +115,7 @@ def test_crash_then_resume_matches_uninterrupted(prepared_dataset, tmp_path):
 
     # Relaunch at the same scale and resume.
     def resumed(comm):
-        with FanStore(prepared_dataset, comm=comm) as fs:
+        with FanStore(prepared_dataset, FanStoreOptions(comm=comm)) as fs:
             trainer = _make_trainer(fs, comm, ckpt_crash, epochs)
             report = trainer.train(resume=True)
             return report.resumed_from_epoch, trainer.model.get_flat_params()
@@ -171,7 +171,8 @@ def drill_reference_params(prepared_dataset, tmp_path_factory):
 
     def body(comm):
         config = DaemonConfig(**FAST)
-        with FanStore(prepared_dataset, comm=comm, config=config) as fs:
+        opts = FanStoreOptions(comm=comm, config=config)
+        with FanStore(prepared_dataset, opts) as fs:
             trainer = _make_trainer(fs, comm, ckpt, TOTAL_EPOCHS)
             report = trainer.train()
             assert report.epochs_completed == TOTAL_EPOCHS
@@ -202,7 +203,8 @@ class TestChaosRecoveryDrill:
 
         # -- phase 1: train, crash, abort fast ---------------------------
         def phase1(comm):
-            fs = FanStore(prepared_dataset, comm=comm, config=config)
+            opts = FanStoreOptions(comm=comm, config=config)
+            fs = FanStore(prepared_dataset, opts)
             trainer = _make_trainer(fs, comm, ckpt_dir, CRASH_AFTER)
             report = trainer.train()
             assert report.epochs_completed == CRASH_AFTER
@@ -248,7 +250,8 @@ class TestChaosRecoveryDrill:
 
         # -- phase 2: relaunch at the same size and resume ---------------
         def phase2(comm):
-            with FanStore(prepared_dataset, comm=comm, config=config) as fs:
+            opts = FanStoreOptions(comm=comm, config=config)
+            with FanStore(prepared_dataset, opts) as fs:
                 data = {
                     rec.path: fs.client.read_file(rec.path)
                     for rec in fs.daemon.metadata.walk_files()
@@ -281,7 +284,7 @@ def test_resume_requires_same_checkpoint_payload(prepared_dataset, tmp_path):
     mgr.save(0, {"params": [0.0] * 3})  # wrong parameter count
 
     def body(comm):
-        with FanStore(prepared_dataset, comm=comm) as fs:
+        with FanStore(prepared_dataset, FanStoreOptions(comm=comm)) as fs:
             trainer = _make_trainer(fs, comm, ckpt, 2)
             trainer.train(resume=True)
 

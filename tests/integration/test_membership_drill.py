@@ -23,7 +23,7 @@ from repro.fanstore.daemon import TAG_DAEMON, DaemonConfig
 from repro.fanstore.faults import CheckpointManager
 from repro.fanstore.membership import MembershipConfig, RankState
 from repro.fanstore.metadata import normalize
-from repro.fanstore.store import FanStore
+from repro.fanstore.store import FanStore, FanStoreOptions
 from repro.training.loader import SyncLoader, list_training_files
 from repro.training.models import MLP
 from repro.training.trainer import DataParallelTrainer, make_array_collate
@@ -148,9 +148,8 @@ class TestMembershipDrill:
         world = ChaosWorld(NODES, plan)
 
         def body(comm):
-            fs = FanStore(
-                prepared_dataset, comm=comm, config=config, membership=MCFG
-            )
+            opts = FanStoreOptions(comm=comm, config=config, membership=MCFG)
+            fs = FanStore(prepared_dataset, opts)
             det = fs.membership
             report1 = _make_trainer(fs, comm, ckpt_dir, HEALTHY_EPOCHS).train()
             assert report1.epochs_completed == HEALTHY_EPOCHS
@@ -319,10 +318,10 @@ def _corpse_then_rejoin(fs, comm, world, originals) -> dict:
 
     # fresh incarnation: partitions off the shared FS, metadata from the
     # join snapshot, ALIVE only after a peer verified a read against us
-    fs2 = FanStore(
-        fs.prepared, comm=comm, config=fs.daemon.config,
-        membership=MCFG, rejoin_peer=0,
+    opts = FanStoreOptions(
+        comm=comm, config=fs.daemon.config, membership=MCFG, rejoin_peer=0
     )
+    fs2 = FanStore(fs.prepared, opts)
     view = fs2.membership.view
     assert view.state(DEAD) == RankState.ALIVE
     files_ok = _read_all(fs2) == originals  # byte-exact, remote + local

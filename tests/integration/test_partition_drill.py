@@ -27,7 +27,7 @@ from repro.errors import StaleEpochError
 from repro.fanstore.daemon import TAG_DAEMON, DaemonConfig
 from repro.fanstore.membership import MembershipConfig, RankState
 from repro.fanstore.metadata import normalize
-from repro.fanstore.store import FanStore
+from repro.fanstore.store import FanStore, FanStoreOptions
 
 NODES = 3
 MINORITY = 2  # the rank cut off alone
@@ -146,9 +146,8 @@ class TestPartitionDrill:
         written = threading.Event()
 
         def body(comm):
-            fs = FanStore(
-                prepared_dataset, comm=comm, config=config, membership=MCFG
-            )
+            opts = FanStoreOptions(comm=comm, config=config, membership=MCFG)
+            fs = FanStore(prepared_dataset, opts)
             det = fs.membership
             stats = fs.daemon.stats
 
@@ -332,10 +331,10 @@ class TestFlappingLink:
         storm_done = threading.Event()
 
         def body(comm):
-            fs = FanStore(
-                prepared_dataset, comm=comm, config=config,
-                membership=MCFG_FLAP,
+            opts = FanStoreOptions(
+                comm=comm, config=config, membership=MCFG_FLAP
             )
+            fs = FanStore(prepared_dataset, opts)
             det = fs.membership
             stats = fs.daemon.stats
             assert _read_dataset(fs, originals) == originals
